@@ -3,12 +3,17 @@
 //! A [`Csr`] stores, for each of `n` rows, a sorted run of column indices.
 //! Interpreted as a graph it is the out-adjacency of a directed graph; the
 //! CSC of the same graph is the [`Csr`] of its transpose (see
-//! [`Csr::transpose`]). Construction and transposition are parallelized with
-//! rayon: degree counting uses per-chunk histograms, placement uses atomic
-//! cursors, and per-row sorting is embarrassingly parallel.
+//! [`Csr::transpose`]). Construction and transposition are parallel and
+//! deterministic without sorting: a counting pass splits the input into
+//! lane-contiguous ranges, builds one key histogram per lane, turns the
+//! histograms into lane-major write offsets with one exclusive prefix, and
+//! each lane then places its entries in input order. Because every lane
+//! scans its rows in ascending order and lanes own ascending row ranges,
+//! every output row comes out sorted. [`Csr::from_row_fn`] fills one
+//! buffer per contiguous row range and sorts each row in place.
 
 use crate::nid;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 
 use rayon::prelude::*;
 
@@ -39,6 +44,11 @@ impl Csr {
     }
 
     /// Builds a rectangular CSR (`n_rows x n_cols`) from an edge slice.
+    ///
+    /// Two counting passes: the edges are first grouped by destination (in
+    /// edge order), and that destination-major layout is then transposed,
+    /// which visits destinations in ascending order and so emits every
+    /// source row already sorted.
     pub fn from_edges_rect(n_rows: usize, n_cols: usize, edges: &[(NodeId, NodeId)]) -> Self {
         debug_assert!(
             edges
@@ -46,63 +56,54 @@ impl Csr {
                 .all(|&(s, d)| (s as usize) < n_rows && (d as usize) < n_cols),
             "edge endpoint out of range"
         );
-        let ptr = prefix_sum(&count_rows(n_rows, edges.par_iter().map(|&(s, _)| s)));
-        let mut idx = vec![0 as NodeId; edges.len()].into_boxed_slice();
-        let cursors: Vec<AtomicUsize> = ptr[..n_rows]
-            .par_iter()
-            .map(|&p| AtomicUsize::new(p))
-            .collect();
-        {
-            // SAFETY-free parallel placement: each edge reserves a distinct
-            // slot via its row cursor; slots never overlap because cursors
-            // start at row offsets and each row's reservation count equals
-            // its degree.
-            let idx_cell = SliceWriter::new(&mut idx);
-            edges.par_iter().for_each(|&(s, d)| {
-                // ordering: the cursor only reserves a unique slot; the
-                // written values are published by the rayon join below.
-                let slot = cursors[s as usize].fetch_add(1, Ordering::Relaxed);
-                idx_cell.write(slot, d);
-            });
-        }
-        let mut csr = Self {
-            n_rows,
-            n_cols,
-            ptr: ptr.into_boxed_slice(),
-            idx,
-        };
-        csr.sort_rows();
-        csr
+        let lanes = even_ranges(edges.len(), lane_count(edges.len(), n_cols));
+        let (by_dst_ptr, by_dst_idx) = counting_place(n_cols, edges.len(), &lanes, |r| {
+            edges[r].iter().map(|&(s, d)| (d, s))
+        });
+        transpose_parts(n_cols, n_rows, &by_dst_ptr, &by_dst_idx)
     }
 
-    /// Builds a CSR by asking `row` to emit the neighbours of each row into a
-    /// scratch vector (parallel over rows). Rows are sorted automatically.
-    /// This is how Mixen extracts its sub-CSRs directly from an existing
-    /// graph without a format conversion.
+    /// Builds a CSR by asking `row` to append the neighbours of each row to
+    /// `out` (parallel over contiguous row ranges). `out` may already hold
+    /// earlier rows of the same range; `row` must only append. Rows are
+    /// sorted in place afterwards. This is how Mixen extracts its sub-CSRs
+    /// directly from an existing graph without a format conversion.
     pub fn from_row_fn<F>(n_rows: usize, n_cols: usize, row: F) -> Self
     where
         F: Fn(NodeId, &mut Vec<NodeId>) + Sync,
     {
-        let rows: Vec<Vec<NodeId>> = (0..nid(n_rows))
-            .into_par_iter()
-            .map(|u| {
-                let mut scratch = Vec::new();
-                row(u, &mut scratch);
-                scratch.sort_unstable();
-                debug_assert!(scratch.iter().all(|&v| (v as usize) < n_cols));
-                scratch
+        let parts = even_ranges(
+            n_rows,
+            (rayon::current_num_threads() * 4).min(n_rows).max(1),
+        );
+        // Four parts per lane let work stealing even out skewed rows. Per
+        // part: its rows' entries back to back, and each row's end offset
+        // within that buffer.
+        let filled: Vec<(Vec<NodeId>, Vec<usize>)> = parts
+            .par_iter()
+            .map(|rows| {
+                let mut buf = Vec::new();
+                let mut ends = Vec::with_capacity(rows.len());
+                for u in rows.clone() {
+                    let start = buf.len();
+                    row(nid(u), &mut buf);
+                    debug_assert!(buf.len() >= start, "row fn must only append");
+                    buf[start..].sort_unstable();
+                    debug_assert!(buf[start..].iter().all(|&v| (v as usize) < n_cols));
+                    ends.push(buf.len());
+                }
+                (buf, ends)
             })
             .collect();
         let mut ptr = Vec::with_capacity(n_rows + 1);
         ptr.push(0usize);
-        let mut acc = 0usize;
-        for r in &rows {
-            acc += r.len();
-            ptr.push(acc);
+        for (_, ends) in &filled {
+            let base = ptr[ptr.len() - 1];
+            ptr.extend(ends.iter().map(|&e| base + e));
         }
-        let mut idx = Vec::with_capacity(acc);
-        for r in rows {
-            idx.extend_from_slice(&r);
+        let mut idx = Vec::with_capacity(ptr[n_rows]);
+        for (buf, _) in filled {
+            idx.extend_from_slice(&buf);
         }
         Self {
             n_rows,
@@ -200,34 +201,11 @@ impl Csr {
         (0..nid(self.n_rows)).flat_map(move |u| self.neighbors(u).iter().map(move |&v| (u, v)))
     }
 
-    /// Transposes the matrix in parallel: counting pass, prefix sum, atomic
-    /// scatter, then per-row sort. The result's rows are the columns of
-    /// `self`.
+    /// Transposes the matrix in parallel with one counting pass (see the
+    /// module docs); no sort is needed. The result's rows are the columns
+    /// of `self`.
     pub fn transpose(&self) -> Self {
-        let ptr = prefix_sum(&count_rows(self.n_cols, self.idx.par_iter().copied()));
-        let mut idx = vec![0 as NodeId; self.nnz()].into_boxed_slice();
-        let cursors: Vec<AtomicUsize> = ptr[..self.n_cols]
-            .par_iter()
-            .map(|&p| AtomicUsize::new(p))
-            .collect();
-        {
-            let idx_cell = SliceWriter::new(&mut idx);
-            (0..self.n_rows).into_par_iter().for_each(|u| {
-                for &v in &self.idx[self.ptr[u]..self.ptr[u + 1]] {
-                    // ordering: slot reservation only, as in from_edges_rect.
-                    let slot = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                    idx_cell.write(slot, nid(u));
-                }
-            });
-        }
-        let mut t = Self {
-            n_rows: self.n_cols,
-            n_cols: self.n_rows,
-            ptr: ptr.into_boxed_slice(),
-            idx,
-        };
-        t.sort_rows();
-        t
+        transpose_parts(self.n_rows, self.n_cols, &self.ptr, &self.idx)
     }
 
     /// Checks every structural invariant; reports the first violation as a
@@ -267,33 +245,13 @@ impl Csr {
         }
         Ok(())
     }
-
-    fn sort_rows(&mut self) {
-        let ptr = std::mem::take(&mut self.ptr);
-        let idx = &mut self.idx;
-        // Split the index array into per-row slices and sort each
-        // independently. `par_chunk_by_rows` is awkward with raw splits, so
-        // use unsafe-free split_at_mut recursion via rayon over the rows'
-        // disjoint ranges, materialized through a SliceWriter-style scheme:
-        // simplest is sequential splitting into a Vec of &mut [NodeId].
-        let mut rows: Vec<&mut [NodeId]> = Vec::with_capacity(self.n_rows);
-        let mut rest: &mut [NodeId] = idx;
-        let mut prev = 0usize;
-        for &p in ptr[1..].iter() {
-            let (row, tail) = rest.split_at_mut(p - prev);
-            rows.push(row);
-            rest = tail;
-            prev = p;
-        }
-        rows.par_iter_mut().for_each(|row| row.sort_unstable());
-        self.ptr = ptr;
-    }
 }
 
 /// Shared writable view of a slice used for disjoint-slot parallel writes.
 ///
-/// Every writer must target a distinct index; the constructors in this module
-/// guarantee that by reserving slots through atomic cursors.
+/// Every writer must target a distinct index; the counting placement in this
+/// module guarantees that because each lane advances only its own per-key
+/// cursors, which start at disjoint lane-major offsets.
 ///
 /// Under `debug_assertions` or the `race-detector` feature, a shadow
 /// ownership map records every written slot and the writer panics on an
@@ -316,8 +274,8 @@ pub(crate) struct SliceWriter<'a, T> {
 unsafe impl<T: Send> Send for SliceWriter<'_, T> {}
 // SAFETY: sharing `&SliceWriter` across threads is safe because the only
 // mutation path is `write`, which bounds-checks and requires callers to
-// reserve distinct slots through atomic cursors — concurrent writes never
-// alias, and no method reads the buffer.
+// target distinct slots (per-lane cursors over disjoint offsets) —
+// concurrent writes never alias, and no method reads the buffer.
 unsafe impl<T: Send> Sync for SliceWriter<'_, T> {}
 
 impl<'a, T> SliceWriter<'a, T> {
@@ -340,44 +298,109 @@ impl<'a, T> SliceWriter<'a, T> {
         // ordering: the claim byte is a diagnostic tripwire — the buffer
         // itself is published by the construction's rayon join, so the swap
         // needs only same-location atomicity to expose a double write.
-        if self.claimed[i].swap(1, Ordering::Relaxed) != 0 {
+        if self.claimed[i].swap(1, crate::msync::atomic::Ordering::Relaxed) != 0 {
             // lint: allow(panic) reason=race detector turning a violated disjoint-write contract into a diagnosable failure
             panic!("SliceWriter race detected: slot {i} written more than once");
         }
-        // SAFETY: `i < len` is checked above, and callers reserve distinct
-        // slots via atomic fetch_add so no two threads write the same index.
+        // SAFETY: `i < len` is checked above, and callers write each slot
+        // from exactly one lane (disjoint cursor ranges), so no two threads
+        // write the same index.
         unsafe { self.ptr.add(i).write(value) }
     }
 }
 
-/// Parallel degree count: per-chunk local histograms folded into one.
-fn count_rows(n: usize, rows: impl IndexedParallelIterator<Item = NodeId>) -> Vec<usize> {
-    rows.fold(
-        || vec![0usize; n],
-        |mut hist, r| {
-            hist[r as usize] += 1;
-            hist
-        },
-    )
-    .reduce(
-        || vec![0usize; n],
-        |mut a, b| {
-            a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
-            a
-        },
-    )
+/// Lanes for a counting pass over `nnz` entries into `n_keys` rows: one per
+/// pool lane, but never so many that the per-lane histograms
+/// (`lanes x n_keys` counters) outgrow the entries they count.
+fn lane_count(nnz: usize, n_keys: usize) -> usize {
+    rayon::current_num_threads().min(1 + nnz / n_keys.max(1))
 }
 
-/// Exclusive prefix sum producing a `len + 1` pointer array.
-pub fn prefix_sum(counts: &[usize]) -> Vec<usize> {
-    let mut ptr = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0usize;
-    ptr.push(0);
-    for &c in counts {
-        acc += c;
-        ptr.push(acc);
+/// Splits `0..len` into `parts` contiguous ranges of near-equal length.
+fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+    (0..parts)
+        .map(|k| len * k / parts..len * (k + 1) / parts)
+        .collect()
+}
+
+/// Transposes the CSR parts `ptr`/`idx` (`n_rows x n_cols`, rows in any
+/// order) into a row-sorted `n_cols x n_rows` [`Csr`]. Rows are split into
+/// lane ranges of near-equal entry counts; since lanes own ascending row
+/// ranges and scan them in order, each output row lists its sources in
+/// ascending order.
+fn transpose_parts(n_rows: usize, n_cols: usize, ptr: &[usize], idx: &[NodeId]) -> Csr {
+    let nnz = idx.len();
+    let lanes = lane_count(nnz, n_cols);
+    let bounds: Vec<usize> = (0..=lanes)
+        .map(|k| ptr.partition_point(|&p| p < nnz * k / lanes).min(n_rows))
+        .collect();
+    let ranges: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+    let (t_ptr, t_idx) = counting_place(n_cols, nnz, &ranges, |rows| {
+        rows.flat_map(|u| idx[ptr[u]..ptr[u + 1]].iter().map(move |&v| (v, nid(u))))
+    });
+    Csr {
+        n_rows: n_cols,
+        n_cols: n_rows,
+        ptr: t_ptr.into_boxed_slice(),
+        idx: t_idx.into_boxed_slice(),
     }
-    ptr
+}
+
+/// Deterministic parallel counting sort. `entries(range)` yields the
+/// `(key, value)` entries of one lane's input range, in the same order
+/// every time it is called. Returns the `n_keys + 1` row pointers and the
+/// `nnz` values grouped by key; within a key, values keep lane order and,
+/// inside a lane, the order `entries` yields them in.
+///
+/// Three steps: one `n_keys` histogram per lane; a lane-major exclusive
+/// prefix that turns the histograms into each lane's first write slot per
+/// key; and a placement pass in which every lane advances only its own
+/// cursors, so the slots it writes are disjoint from every other lane's.
+fn counting_place<F, I>(
+    n_keys: usize,
+    nnz: usize,
+    lanes: &[Range<usize>],
+    entries: F,
+) -> (Vec<usize>, Vec<NodeId>)
+where
+    F: Fn(Range<usize>) -> I + Sync,
+    I: Iterator<Item = (NodeId, NodeId)>,
+{
+    let mut cursors: Vec<Vec<usize>> = lanes
+        .par_iter()
+        .map(|r| {
+            let mut hist = vec![0usize; n_keys];
+            entries(r.clone()).for_each(|(k, _)| hist[k as usize] += 1);
+            hist
+        })
+        .collect();
+    let mut ptr = Vec::with_capacity(n_keys + 1);
+    let mut acc = 0usize;
+    for key in 0..n_keys {
+        ptr.push(acc);
+        for hist in cursors.iter_mut() {
+            let count = hist[key];
+            hist[key] = acc;
+            acc += count;
+        }
+    }
+    ptr.push(acc);
+    debug_assert_eq!(acc, nnz, "the lanes must yield exactly nnz entries");
+    let mut idx = vec![0 as NodeId; nnz];
+    {
+        let out = SliceWriter::new(&mut idx);
+        cursors
+            .par_iter_mut()
+            .zip(lanes.par_iter())
+            .for_each(|(cursor, r)| {
+                entries(r.clone()).for_each(|(k, v)| {
+                    let slot = &mut cursor[k as usize];
+                    out.write(*slot, v);
+                    *slot += 1;
+                })
+            });
+    }
+    (ptr, idx)
 }
 
 /// Model probes over the CSR construction write path, compiled only under
@@ -445,9 +468,7 @@ mod tests {
         let mut buf = vec![u32::MAX; n];
         {
             let w = SliceWriter::new(&mut buf);
-            let cursor = AtomicUsize::new(0);
-            (0..n).into_par_iter().for_each(|_| {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
+            (0..n).into_par_iter().for_each(|k| {
                 let slot = order[k];
                 w.write(slot, nid(slot).wrapping_mul(2654435761));
             });
@@ -525,12 +546,6 @@ mod tests {
         assert_eq!(t.n_rows(), 5);
         assert_eq!(t.n_cols(), 2);
         assert_eq!(t.neighbors(4), &[0]);
-    }
-
-    #[test]
-    fn prefix_sum_basics() {
-        assert_eq!(prefix_sum(&[]), vec![0]);
-        assert_eq!(prefix_sum(&[2, 0, 3]), vec![0, 2, 2, 5]);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! capped before any allocation, every `u64 → usize` cast is checked, and
 //! every failure surfaces as a typed [`GraphError`] — never a panic.
 
-use crate::nid;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -34,36 +33,62 @@ pub const MAX_NODES: u64 = 1 << 31;
 /// an order of magnitude above the largest public web crawls).
 pub const MAX_EDGES: u64 = 1 << 39;
 
-/// Incremental-read chunk bound: never pre-allocate more than this many
-/// elements on the say-so of a header; grow as bytes actually arrive.
-const ALLOC_CHUNK: usize = 1 << 20;
+/// Payload read chunk: sections are read in `read_exact` calls of at most
+/// this many bytes, and capacity grows only by what each chunk delivered,
+/// so a header can never make the reader allocate more than one chunk
+/// ahead of the bytes that actually arrived.
+const READ_CHUNK_BYTES: usize = 1 << 20;
+
+/// [`graph_checksum`] encodes the payload into blocks of this many bytes
+/// before folding each block into the CRC.
+const CHECKSUM_BLOCK_BYTES: usize = 64 << 10;
 
 // ---------------------------------------------------------------------------
 // CRC-32/IEEE (the zlib/PNG polynomial), table-driven, no dependencies.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = nid(i);
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Bytes folded into the CRC per step of [`Crc32::update`] (slicing-by-16).
+const CRC_SLICE: usize = 16;
+
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, which lets
+/// [`Crc32::update`] fold 16 input bytes with 16 independent lookups.
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut t = [[0u32; 256]; CRC_SLICE];
+    let mut i = 0;
+    while i < 256 {
+        // lint: allow(truncation) reason=i < 256 in a const-evaluated loop
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < CRC_SLICE {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// CRC-32/IEEE over `bytes` (init `!0`, final xor `!0`), resumable via
-/// [`Crc32::update`].
+/// [`Crc32::update`]: any split of the input into successive `update`
+/// calls gives the same value.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc32(u32);
 
@@ -72,11 +97,27 @@ impl Crc32 {
         Crc32(!0)
     }
 
+    /// Folds `bytes` into the running CRC, 16 bytes per step (slicing-by-16)
+    /// with a byte-at-a-time tail.
     pub fn update(&mut self, bytes: &[u8]) {
-        let table = crc32_table();
-        for &b in bytes {
-            self.0 = table[((self.0 ^ u32::from(b)) & 0xFF) as usize] ^ (self.0 >> 8);
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut blocks = bytes.chunks_exact(CRC_SLICE);
+        for block in &mut blocks {
+            let mut x = [0u8; CRC_SLICE];
+            x.copy_from_slice(block);
+            let head = u32::from_le_bytes([x[0], x[1], x[2], x[3]]) ^ crc;
+            x[..4].copy_from_slice(&head.to_le_bytes());
+            // Byte j still has 15 - j bytes of the block after it.
+            crc = x
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (j, &b)| acc ^ t[CRC_SLICE - 1 - j][usize::from(b)]);
         }
+        for &b in blocks.remainder() {
+            crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
 
     pub fn finish(self) -> u32 {
@@ -95,29 +136,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(bytes);
     c.finish()
-}
-
-/// `Read` adapter that folds every byte it passes through into a CRC-32.
-struct Crc32Reader<'a, R> {
-    inner: &'a mut R,
-    crc: Crc32,
-}
-
-impl<'a, R: Read> Crc32Reader<'a, R> {
-    fn new(inner: &'a mut R) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-}
-
-impl<R: Read> Read for Crc32Reader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -152,11 +170,16 @@ pub fn write_csr<W: Write>(g: &Graph, w: &mut W) -> io::Result<()> {
 pub fn graph_checksum(g: &Graph) -> u32 {
     let csr = g.out_csr();
     let mut crc = Crc32::new();
-    for &p in csr.ptr() {
-        crc.update(&(p as u64).to_le_bytes());
+    let mut block = Vec::with_capacity(CHECKSUM_BLOCK_BYTES);
+    for words in csr.ptr().chunks(CHECKSUM_BLOCK_BYTES / 8) {
+        block.clear();
+        block.extend(words.iter().flat_map(|&p| (p as u64).to_le_bytes()));
+        crc.update(&block);
     }
-    for &v in csr.idx() {
-        crc.update(&v.to_le_bytes());
+    for words in csr.idx().chunks(CHECKSUM_BLOCK_BYTES / 4) {
+        block.clear();
+        block.extend(words.iter().flat_map(|&v| v.to_le_bytes()));
+        crc.update(&block);
     }
     crc.finish()
 }
@@ -211,15 +234,16 @@ pub fn read_csr<R: Read>(r: &mut R) -> Result<Graph> {
     let n = checked_usize(n64, "node count")?;
     let m = checked_usize(m64, "edge count")?;
 
-    let (csr, stored, computed) = if versioned {
-        let stored = read_u32(r)?;
-        let mut cr = Crc32Reader::new(r);
-        let csr = read_payload(&mut cr, n, m)?;
-        (csr, Some(stored), cr.crc.finish())
-    } else {
-        (read_payload(r, n, m)?, None, 0)
-    };
+    let stored = if versioned { Some(read_u32(r)?) } else { None };
+    let mut crc = Crc32::new();
+    let ptr = read_section(r, n + 1, &mut crc, u64::from_le_bytes)?
+        .into_iter()
+        .map(|p| checked_usize(p, "row pointer"))
+        .collect::<Result<Vec<_>>>()?;
+    let idx = read_section(r, m, &mut crc, NodeId::from_le_bytes)?;
+    let csr = Csr::try_from_parts(n, ptr, idx)?;
     if let Some(stored) = stored {
+        let computed = crc.finish();
         if stored != computed {
             return Err(GraphError::Checksum { stored, computed });
         }
@@ -227,21 +251,35 @@ pub fn read_csr<R: Read>(r: &mut R) -> Result<Graph> {
     Ok(Graph::from_csr(csr))
 }
 
-/// Reads `ptr` and `idx` incrementally — allocation grows with bytes that
-/// actually arrive, never in one jump from the untrusted header — and
-/// validates every CSR invariant before construction.
-fn read_payload<R: Read>(r: &mut R, n: usize, m: usize) -> Result<Csr> {
-    let mut ptr = Vec::with_capacity((n + 1).min(ALLOC_CHUNK));
-    for _ in 0..=n {
-        ptr.push(checked_usize(read_u64(r)?, "row pointer")?);
+/// Reads `count` little-endian `W`-byte words in `read_exact` chunks of at
+/// most [`READ_CHUNK_BYTES`], folding every chunk into `crc` before decoding
+/// it. The output grows by exactly the words each chunk delivered, so a
+/// header that overstates `count` costs at most one chunk before the
+/// short read surfaces as [`GraphError::Io`].
+fn read_section<R: Read, T, const W: usize>(
+    r: &mut R,
+    count: usize,
+    crc: &mut Crc32,
+    decode: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    let chunk_words = READ_CHUNK_BYTES / W;
+    let mut buf = vec![0u8; count.min(chunk_words) * W];
+    let mut out = Vec::new();
+    let mut left = count;
+    while left > 0 {
+        let take = left.min(chunk_words);
+        let bytes = &mut buf[..take * W];
+        r.read_exact(bytes).map_err(GraphError::Io)?;
+        crc.update(bytes);
+        out.reserve_exact(take);
+        out.extend(bytes.chunks_exact(W).map(|w| {
+            let mut word = [0u8; W];
+            word.copy_from_slice(w);
+            decode(word)
+        }));
+        left -= take;
     }
-    let mut idx = Vec::with_capacity(m.min(ALLOC_CHUNK));
-    let mut buf = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut buf).map_err(GraphError::Io)?;
-        idx.push(NodeId::from_le_bytes(buf));
-    }
-    Csr::try_from_parts(n, ptr, idx)
+    Ok(out)
 }
 
 /// Writes `g` to a file in the current binary CSR format.

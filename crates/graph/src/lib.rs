@@ -32,13 +32,13 @@ pub mod csr;
 /// [`csr`]-internal `SliceWriter` claim bytes): under `model-check` these
 /// route through the `mixen-check` instrumented types so schedule
 /// exploration sees every access; otherwise they are plain
-/// `std::sync::atomic` re-exports with identical codegen.
-#[cfg(feature = "model-check")]
+/// `std::sync::atomic` re-exports with identical codegen. Compiled exactly
+/// where the claim map is (debug and `race-detector` builds).
+#[cfg(any(debug_assertions, feature = "race-detector"))]
 pub(crate) mod msync {
+    #[cfg(feature = "model-check")]
     pub(crate) use mixen_check::sync::atomic;
-}
-#[cfg(not(feature = "model-check"))]
-pub(crate) mod msync {
+    #[cfg(not(feature = "model-check"))]
     pub(crate) use std::sync::atomic;
 }
 

@@ -6,10 +6,71 @@
 //! Fault-injection cases are driven by `mixen_graph::faults`, so each
 //! failure is reproducible from `(input, plan)`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use mixen_algos::{pagerank_supervised, PageRankOpts};
 use mixen_core::{EngineUsed, RobustRunner, RunnerOpts};
-use mixen_graph::io::{self, crc32, MAX_EDGES, MAX_NODES};
+use mixen_graph::io::{self, crc32, Crc32, MAX_EDGES, MAX_NODES};
 use mixen_graph::{FaultPlan, FaultyReader, Graph, GraphError};
+
+/// The system allocator, plus a per-thread record of the largest single
+/// allocation made while [`largest_allocation_during`] is running.
+struct Tracking;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            LARGEST.with(|l| l.set(l.get().max(size)));
+        }
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the bookkeeping only touches const-initialised thread-locals,
+// which never allocate.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: forwarded contract of `GlobalAlloc::alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        // SAFETY: forwarded contract of `GlobalAlloc::alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        // SAFETY: forwarded contract of `GlobalAlloc::realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded contract of `GlobalAlloc::dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tracking = Tracking;
+
+/// Runs `f` on this thread and reports the largest single allocation (or
+/// reallocation target) it made, in bytes.
+fn largest_allocation_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, LARGEST.with(|l| l.get()))
+}
 
 fn sample_graph() -> Graph {
     Graph::from_pairs(
@@ -77,14 +138,11 @@ fn every_truncation_errors_never_panics() {
                 "prefix of {cut}/{} bytes must not parse",
                 bytes.len()
             ));
-            // Truncation may surface as plain I/O (header EOF), an
-            // invariant breach, or a checksum mismatch — but always typed.
+            // Every section is read in full before anything is validated,
+            // so a short file is always the reader's end-of-file.
             match err {
-                GraphError::Io(_)
-                | GraphError::Format(_)
-                | GraphError::Invariant(_)
-                | GraphError::Checksum { .. } => {}
-                other => panic!("unexpected variant for cut {cut}: {other}"),
+                GraphError::Io(_) => {}
+                other => panic!("cut {cut}: expected an I/O error, got {other}"),
             }
         }
     }
@@ -101,9 +159,69 @@ fn every_single_bit_flip_is_caught_in_v2() {
         for bit in 0..8 {
             let mut mutated = bytes.clone();
             mutated[byte] ^= 1 << bit;
+            match io::read_csr(&mut mutated.as_slice()) {
+                Err(
+                    GraphError::Io(_)
+                    | GraphError::Format(_)
+                    | GraphError::Capacity { .. }
+                    | GraphError::Invariant(_)
+                    | GraphError::Checksum { .. },
+                ) => {}
+                other => panic!("flip at byte {byte} bit {bit}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn v1_bit_flips_never_panic() {
+    // MXG1 has no checksum, so a payload flip may still parse; whatever
+    // comes back must be a valid graph or a typed error.
+    let bytes = v1_bytes(&sample_graph());
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut mutated = bytes.clone();
+            mutated[byte] ^= 1 << bit;
+            match io::read_csr(&mut mutated.as_slice()) {
+                Ok(g) => g.out_csr().validate().unwrap(),
+                Err(
+                    GraphError::Io(_)
+                    | GraphError::Format(_)
+                    | GraphError::Capacity { .. }
+                    | GraphError::Invariant(_),
+                ) => {}
+                Err(other) => panic!("flip at byte {byte} bit {bit}: {other}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn overstated_counts_reserve_at_most_one_chunk() {
+    // Headers that promise far more than the 40 payload bytes behind them:
+    // m = 2^38 edges after a complete 4-node `ptr`, and 2^30 nodes. The
+    // reader may commit one 1 MiB read chunk before the short read.
+    const CHUNK: usize = 1 << 20;
+    for (n, m) in [(4u64, 1u64 << 38), (1 << 30, 1)] {
+        for magic in [*b"MXG1", *b"MXG2"] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&magic);
+            bytes.extend_from_slice(&n.to_le_bytes());
+            bytes.extend_from_slice(&m.to_le_bytes());
+            if &magic == b"MXG2" {
+                bytes.extend_from_slice(&0u32.to_le_bytes());
+            }
+            for p in 0..5u64 {
+                bytes.extend_from_slice(&p.to_le_bytes());
+            }
+            let (res, largest) = largest_allocation_during(|| io::read_csr(&mut bytes.as_slice()));
+            match res {
+                Err(GraphError::Io(_)) => {}
+                other => panic!("n={n} m={m}: expected an I/O error, got {other:?}"),
+            }
             assert!(
-                io::read_csr(&mut mutated.as_slice()).is_err(),
-                "flip at byte {byte} bit {bit} went unnoticed"
+                largest <= CHUNK,
+                "n={n} m={m}: allocated {largest} bytes at once"
             );
         }
     }
@@ -257,6 +375,52 @@ fn interrupted_storms_alone_are_survivable() {
 #[test]
 fn crc32_check_vector() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+}
+
+/// Bit-at-a-time CRC-32/IEEE, straight from the definition.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+#[test]
+fn word_wise_crc32_matches_the_bitwise_definition_at_every_split() {
+    let mut x = 0x9E37_79B9u32;
+    let data: Vec<u8> = (0..64)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x.to_le_bytes()[0]
+        })
+        .collect();
+    for len in 0..=data.len() {
+        let bytes = &data[..len];
+        let want = crc32_bitwise(bytes);
+        assert_eq!(crc32(bytes), want, "len {len}");
+        for split in 0..=len {
+            let mut c = Crc32::new();
+            c.update(&bytes[..split]);
+            c.update(&bytes[split..]);
+            assert_eq!(c.finish(), want, "len {len} split {split}");
+        }
+    }
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    let mut c = Crc32::new();
+    for b in b"123456789".chunks(2) {
+        c.update(b);
+    }
+    assert_eq!(c.finish(), 0xCBF4_3926);
 }
 
 #[test]
